@@ -184,8 +184,8 @@ impl FrameReader {
     }
 }
 
-/// Serialize one frame to bytes — the building block of the reactor's
-/// vectored-write batches. Refuses oversized payloads like
+/// Serialize one frame to bytes, for callers that batch or buffer
+/// frames before writing them. Refuses oversized payloads like
 /// [`write_frame`].
 pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, Error> {
     if payload.len() > MAX_FRAME {

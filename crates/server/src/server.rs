@@ -1,18 +1,12 @@
 //! The supervised multi-session ingest server.
 //!
-//! Two io-models serve the same protocol ([`IoModel`], selected by
-//! [`ServerConfig::io_model`]):
+//! One acceptor thread takes TCP connections; each connection becomes
+//! a session (with affinity to one shard of a [`ShardPool`]) served by
+//! its own reader thread speaking the [`crate::frame`] protocol. The
+//! shard worker that tags a frame writes its reply straight to the
+//! session's shared socket.
 //!
-//! * **`threads`** (default): one acceptor thread takes TCP
-//!   connections; each connection becomes a session (with affinity to
-//!   one shard of a [`ShardPool`]) served by its own reader thread
-//!   speaking the [`crate::frame`] protocol.
-//! * **`reactor`**: a single epoll-driven thread
-//!   ([`crate::reactor`]) owns every connection as a nonblocking
-//!   state machine, decodes frames zero-copy, and coalesces replies
-//!   into vectored write batches — the high-concurrency path.
-//!
-//! The moving parts common to both:
+//! The moving parts:
 //!
 //! * **Backpressure**: shard queues are bounded; a full queue answers
 //!   `Busy` with the shed frame's sequence number instead of blocking
@@ -41,7 +35,6 @@
 //!   it — the fast path never blocks on the audit lane.
 
 use crate::frame::{self, Frame, FrameKind};
-use crate::reactor::{self, Completion, CompletionQueue, Poller};
 use crate::session::SessionTable;
 use cfg_obs::{
     profile, AuditBank, AuditEvent, FlightRecorder, MetricsSink, Mismatch, MismatchRing,
@@ -61,40 +54,6 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which serving architecture [`IngestServer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// One reader thread per connection. The default until reactor
-    /// chaos parity has soaked.
-    #[default]
-    Threads,
-    /// Single-threaded epoll reactor: nonblocking sockets, zero-copy
-    /// decode, batched vectored Acks, `EPOLLOUT` backpressure.
-    Reactor,
-}
-
-impl IoModel {
-    /// The flag spelling (`threads` / `reactor`).
-    pub fn name(self) -> &'static str {
-        match self {
-            IoModel::Threads => "threads",
-            IoModel::Reactor => "reactor",
-        }
-    }
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<IoModel, String> {
-        match s {
-            "threads" => Ok(IoModel::Threads),
-            "reactor" => Ok(IoModel::Reactor),
-            other => Err(format!("unknown io model `{other}` (expected `threads` or `reactor`)")),
-        }
-    }
-}
 
 /// Frame tracing + SLO configuration for [`ServerConfig::trace`].
 ///
@@ -126,9 +85,9 @@ impl Default for TraceConfig {
 
 /// The tracing side-car the server threads through its stages.
 #[derive(Clone)]
-pub(crate) struct Tracing {
-    pub(crate) recorder: Arc<SpanRecorder>,
-    pub(crate) slo: Arc<SloTracker>,
+struct Tracing {
+    recorder: Arc<SpanRecorder>,
+    slo: Arc<SloTracker>,
 }
 
 /// Saturation telemetry configuration for [`ServerConfig::saturation`].
@@ -214,11 +173,11 @@ struct AuditJob {
 
 /// The audit side-car: counters, divergence evidence, and the bounded
 /// queue feeding the replay workers.
-pub(crate) struct Auditor {
-    pub(crate) bank: Arc<AuditBank>,
+struct Auditor {
+    bank: Arc<AuditBank>,
     ring: Arc<MismatchRing>,
-    pub(crate) sample_every: u64,
-    pub(crate) max_bytes: usize,
+    sample_every: u64,
+    max_bytes: usize,
     /// `SyncSender` is `Send` but not `Sync`; the mutex makes the lane
     /// shareable across session readers. `try_send` under the lock is
     /// two atomic ops — never a block.
@@ -229,7 +188,7 @@ impl Auditor {
     /// Hand one finished session's mirrored payloads to the replay
     /// lane. `try_send` on the bounded queue: a busy lane sheds the
     /// audit (counted), never the serving path.
-    pub(crate) fn finish_session(&self, session: u64, frames: Vec<Vec<u8>>) {
+    fn finish_session(&self, session: u64, frames: Vec<Vec<u8>>) {
         if frames.is_empty() {
             // Nothing tagged, nothing to check — trivially audited.
             self.bank.session_audited();
@@ -247,9 +206,6 @@ impl Auditor {
 /// override fields.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Serving architecture: thread-per-connection or the epoll
-    /// reactor.
-    pub io_model: IoModel,
     /// Worker shards in the pool.
     pub shards: usize,
     /// Bounded queue depth per shard; a full queue sheds with `Busy`.
@@ -292,7 +248,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            io_model: IoModel::default(),
             shards: 2,
             queue_depth: 64,
             max_sessions: 64,
@@ -315,7 +270,6 @@ impl Default for ServerConfig {
 impl std::fmt::Debug for ServerConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerConfig")
-            .field("io_model", &self.io_model)
             .field("shards", &self.shards)
             .field("queue_depth", &self.queue_depth)
             .field("max_sessions", &self.max_sessions)
@@ -344,28 +298,20 @@ pub struct ServerReport {
     pub shard: ShardReport,
 }
 
-/// Everything the acceptor/reactor, janitor, reader and worker
-/// threads share.
-pub(crate) struct Shared {
-    pub(crate) pool: ShardPool,
+/// Everything the acceptor, janitor, reader and worker threads share.
+struct Shared {
+    pool: ShardPool,
     table: Arc<SessionTable<TcpStream>>,
-    pub(crate) stop: AtomicBool,
-    pub(crate) server_sink: Arc<StatsSink>,
-    pub(crate) state: Option<Arc<ServiceState>>,
-    pub(crate) flight: Option<Arc<FlightRecorder>>,
+    stop: AtomicBool,
+    server_sink: Arc<StatsSink>,
+    state: Option<Arc<ServiceState>>,
+    flight: Option<Arc<FlightRecorder>>,
     conn_handles: Mutex<Vec<JoinHandle<()>>>,
-    pub(crate) sessions_served: AtomicU64,
-    pub(crate) idle_timeout: Duration,
-    pub(crate) drain_deadline: Duration,
-    pub(crate) tracing: Option<Tracing>,
-    pub(crate) audit: Option<Auditor>,
-    io_model: IoModel,
-    /// Session cap, enforced by the table (threads) or the reactor's
-    /// connection map (reactor).
-    pub(crate) max_sessions: usize,
-    /// Live-connection gauge maintained by the reactor thread (the
-    /// threaded path reads the session table instead).
-    pub(crate) reactor_sessions: AtomicU64,
+    sessions_served: AtomicU64,
+    idle_timeout: Duration,
+    drain_deadline: Duration,
+    tracing: Option<Tracing>,
+    audit: Option<Auditor>,
 }
 
 /// A running ingest server; shut it down with
@@ -379,14 +325,10 @@ pub struct IngestServer {
     sampler_handle: Option<SamplerHandle>,
     profiler_handle: Option<ProfilerHandle>,
     audit_handles: Vec<JoinHandle<()>>,
-    /// Reactor mode: the completion queue doubles as the shutdown
-    /// nudge (threads mode unblocks the acceptor with a throwaway
-    /// connection instead).
-    wake: Option<Arc<CompletionQueue>>,
 }
 
 /// Pool-message layout: `[session u64 LE][seq u32 LE][payload…]`.
-pub(crate) fn build_msg(session: u64, seq: u32, payload: &[u8]) -> Vec<u8> {
+fn build_msg(session: u64, seq: u32, payload: &[u8]) -> Vec<u8> {
     let mut msg = Vec::with_capacity(12 + payload.len());
     msg.extend_from_slice(&session.to_le_bytes());
     msg.extend_from_slice(&seq.to_le_bytes());
@@ -415,6 +357,22 @@ fn reply(writer: &Mutex<TcpStream>, kind: FrameKind, payload: &[u8]) {
     let _ = frame::write_frame(&mut *w, kind, payload);
 }
 
+/// The worker's reply to one tagged frame: an `Ack` carrying `seq` and
+/// the events, or an `Err` naming `seq`. An Ack too large for one frame
+/// becomes `Err "seq N: reply too large"`, so every `Data` frame is
+/// still answered exactly once.
+fn answer_frame(seq: u32, tagged: Result<Vec<TagEvent>, Error>) -> (FrameKind, Vec<u8>) {
+    match tagged {
+        Ok(events) if 4 + events.len() * frame::EVENT_LEN <= frame::MAX_FRAME => {
+            let mut ack = seq.to_le_bytes().to_vec();
+            ack.extend_from_slice(&frame::encode_events(&events));
+            (FrameKind::Ack, ack)
+        }
+        Ok(_) => (FrameKind::Err, format!("seq {seq}: reply too large").into_bytes()),
+        Err(e) => (FrameKind::Err, format!("seq {seq}: {e}").into_bytes()),
+    }
+}
+
 impl IngestServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start serving sessions
     /// over `tagger`.
@@ -426,16 +384,6 @@ impl IngestServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let table: Arc<SessionTable<TcpStream>> = Arc::new(SessionTable::new(config.max_sessions));
-
-        // Reactor plumbing is created up-front so epoll/pipe failures
-        // surface from `start` instead of killing a detached thread.
-        let reactor_io = match config.io_model {
-            IoModel::Threads => None,
-            IoModel::Reactor => {
-                listener.set_nonblocking(true)?;
-                Some((Poller::new()?, Arc::new(CompletionQueue::new()?)))
-            }
-        };
 
         // The tracing side-car: a span recorder + SLO tracker pair,
         // also attached to the service state so the HTTP exporter can
@@ -508,141 +456,57 @@ impl IngestServer {
         }
 
         // The worker handler: tag the payload with a fresh engine, then
-        // ack with the events. The ack is produced *by the worker*,
-        // after processing — that ordering is the no-lost-acks
-        // guarantee. The io-models differ only in delivery: the
-        // threaded handler writes to the session's shared socket; the
-        // reactor handler serializes the reply and hands it to the
-        // completion queue (the reactor owns the socket and stamps
-        // `AckWrite` when the batch actually flushes).
-        type Handler = Box<dyn Fn(&TokenTagger, &[u8], Option<&mut Span>) + Send + Sync>;
-        type PanicHook = Arc<dyn Fn(usize, &str, &[u8]) + Send + Sync>;
+        // ack with the events on the session's shared socket. The ack
+        // is written *by the worker*, after processing — that ordering
+        // is the no-lost-acks guarantee.
         let panic_token = config.panic_token.clone();
         let engine_kind = config.engine;
-        let run_engine = move |t: &TokenTagger, payload: &[u8]| -> Result<Vec<TagEvent>, Error> {
-            let mut engine = t.engine(engine_kind)?;
-            let mut events = Vec::new();
-            engine.feed_slice(payload, &mut events)?;
-            engine.finish_into(&mut events)?;
-            Ok(events)
-        };
-        let (handler, on_panic): (Handler, PanicHook) = match &reactor_io {
-            None => {
-                let handler_table = Arc::clone(&table);
-                let handler_tracing = tracing.clone();
-                let panic_token = panic_token.clone();
-                let handler = move |t: &TokenTagger, msg: &[u8], mut span: Option<&mut Span>| {
-                    profile::enter(Stage::Parse);
-                    let Some((session, seq, payload)) = split_msg(msg) else { return };
-                    if let Some(token) = &panic_token {
-                        if contains(payload, token) {
-                            panic!("injected poison frame (session {session} seq {seq})");
-                        }
-                    }
-                    profile::enter(Stage::Engine);
-                    let tagged = run_engine(t, payload);
-                    if let Some(span) = span.as_deref_mut() {
-                        span.stamp(Stage::Engine);
-                    }
-                    profile::enter(Stage::AckWrite);
-                    if let Some(writer) = handler_table.writer(session) {
-                        match tagged {
-                            Ok(events) => {
-                                let mut ack = seq.to_le_bytes().to_vec();
-                                ack.extend_from_slice(&frame::encode_events(&events));
-                                reply(&writer, FrameKind::Ack, &ack);
-                            }
-                            Err(e) => {
-                                reply(
-                                    &writer,
-                                    FrameKind::Err,
-                                    format!("seq {seq}: {e}").as_bytes(),
-                                );
-                            }
-                        }
-                    }
-                    // The span ends when the reply hit the socket: fold
-                    // it into the SLO histograms and (maybe) the
-                    // /spans.jsonl ring.
-                    if let (Some(tracing), Some(span)) = (&handler_tracing, span.as_deref_mut()) {
-                        span.stamp(Stage::AckWrite);
-                        tracing.slo.observe(span);
-                        tracing.recorder.record(span);
-                    }
-                    if let Some(pending) = handler_table.pending(session) {
-                        pending.fetch_sub(1, Ordering::AcqRel);
-                    }
-                };
-                // After a caught panic the poison frame was *not*
-                // processed: tell the client with an `Err` frame and
-                // release its drain counter so `Close` does not wait on
-                // it forever.
-                let hook_table = Arc::clone(&table);
-                let on_panic = move |_shard: usize, text: &str, msg: &[u8]| {
-                    let Some((session, seq, _)) = split_msg(msg) else { return };
-                    if let Some(writer) = hook_table.writer(session) {
-                        reply(
-                            &writer,
-                            FrameKind::Err,
-                            format!("seq {seq}: worker panic: {text}").as_bytes(),
-                        );
-                    }
-                    if let Some(pending) = hook_table.pending(session) {
-                        pending.fetch_sub(1, Ordering::AcqRel);
-                    }
-                };
-                (Box::new(handler), Arc::new(on_panic))
+        let handler_table = Arc::clone(&table);
+        let handler_tracing = tracing.clone();
+        let handler = move |t: &TokenTagger, msg: &[u8], mut span: Option<&mut Span>| {
+            profile::enter(Stage::Parse);
+            let Some((session, seq, payload)) = split_msg(msg) else { return };
+            if let Some(token) = &panic_token {
+                if contains(payload, token) {
+                    panic!("injected poison frame (session {session} seq {seq})");
+                }
             }
-            Some((_, completions)) => {
-                let done = Arc::clone(completions);
-                let handler = move |t: &TokenTagger, msg: &[u8], mut span: Option<&mut Span>| {
-                    profile::enter(Stage::Parse);
-                    let Some((session, seq, payload)) = split_msg(msg) else { return };
-                    if let Some(token) = &panic_token {
-                        if contains(payload, token) {
-                            panic!("injected poison frame (session {session} seq {seq})");
-                        }
-                    }
-                    profile::enter(Stage::Engine);
-                    let tagged = run_engine(t, payload);
-                    if let Some(span) = span.as_deref_mut() {
-                        span.stamp(Stage::Engine);
-                    }
-                    profile::enter(Stage::AckWrite);
-                    let wire = match tagged {
-                        Ok(events) => {
-                            let mut ack = seq.to_le_bytes().to_vec();
-                            ack.extend_from_slice(&frame::encode_events(&events));
-                            frame::encode_frame(FrameKind::Ack, &ack)
-                        }
-                        Err(e) => frame::encode_frame(
-                            FrameKind::Err,
-                            format!("seq {seq}: {e}").as_bytes(),
-                        ),
-                    };
-                    // An oversized ack still owes the client a reply
-                    // (and the reactor a pending-count decrement).
-                    let wire = wire
-                        .or_else(|_| {
-                            frame::encode_frame(
-                                FrameKind::Err,
-                                format!("seq {seq}: reply too large").as_bytes(),
-                            )
-                        })
-                        .expect("short Err frame is always encodable");
-                    done.push(Completion { session, wire, span: span.map(|s| s.clone()) });
-                };
-                let hook_done = Arc::clone(completions);
-                let on_panic = move |_shard: usize, text: &str, msg: &[u8]| {
-                    let Some((session, seq, _)) = split_msg(msg) else { return };
-                    if let Ok(wire) = frame::encode_frame(
-                        FrameKind::Err,
-                        format!("seq {seq}: worker panic: {text}").as_bytes(),
-                    ) {
-                        hook_done.push(Completion { session, wire, span: None });
-                    }
-                };
-                (Box::new(handler), Arc::new(on_panic))
+            profile::enter(Stage::Engine);
+            let tagged = tag_frame(t, engine_kind, payload);
+            if let Some(span) = span.as_deref_mut() {
+                span.stamp(Stage::Engine);
+            }
+            profile::enter(Stage::AckWrite);
+            if let Some(writer) = handler_table.writer(session) {
+                let (kind, answer) = answer_frame(seq, tagged);
+                reply(&writer, kind, &answer);
+            }
+            // The span ends when the reply hit the socket: fold it into
+            // the SLO histograms and (maybe) the /spans.jsonl ring.
+            if let (Some(tracing), Some(span)) = (&handler_tracing, span.as_deref_mut()) {
+                span.stamp(Stage::AckWrite);
+                tracing.slo.observe(span);
+                tracing.recorder.record(span);
+            }
+            if let Some(pending) = handler_table.pending(session) {
+                pending.fetch_sub(1, Ordering::AcqRel);
+            }
+        };
+        // After a caught panic the poison frame was *not* processed:
+        // tell the client with an `Err` frame and release its drain
+        // counter so `Close` does not wait on it forever.
+        let hook_table = Arc::clone(&table);
+        let on_panic = move |_shard: usize, text: &str, msg: &[u8]| {
+            let Some((session, seq, _)) = split_msg(msg) else { return };
+            if let Some(writer) = hook_table.writer(session) {
+                reply(
+                    &writer,
+                    FrameKind::Err,
+                    format!("seq {seq}: worker panic: {text}").as_bytes(),
+                );
+            }
+            if let Some(pending) = hook_table.pending(session) {
+                pending.fetch_sub(1, Ordering::AcqRel);
             }
         };
 
@@ -651,7 +515,7 @@ impl IngestServer {
             backoff_base_ms: config.backoff_base_ms,
             backoff_max_ms: config.backoff_max_ms,
             flight: config.flight.clone(),
-            on_panic: Some(on_panic),
+            on_panic: Some(Arc::new(on_panic)),
             load: saturation.as_ref().map(|s| Arc::clone(&s.bank)),
             profiler: saturation.as_ref().map(|s| Arc::clone(&s.profiler)),
             profile_label: config.engine.name().to_owned(),
@@ -680,39 +544,18 @@ impl IngestServer {
             drain_deadline: config.drain_deadline,
             tracing,
             audit,
-            io_model: config.io_model,
-            max_sessions: config.max_sessions,
-            reactor_sessions: AtomicU64::new(0),
         });
 
-        let (accept_handle, janitor_handle, wake) = match reactor_io {
-            None => {
-                let accept_shared = Arc::clone(&shared);
-                let accept_handle = std::thread::Builder::new()
-                    .name("cfgserve-accept".into())
-                    .spawn(move || accept_loop(listener, accept_shared))
-                    .expect("spawn acceptor");
-                let janitor_shared = Arc::clone(&shared);
-                let janitor_handle = std::thread::Builder::new()
-                    .name("cfgserve-janitor".into())
-                    .spawn(move || janitor_loop(janitor_shared))
-                    .expect("spawn janitor");
-                (accept_handle, Some(janitor_handle), None)
-            }
-            Some((poller, completions)) => {
-                // One thread does it all — accept, read, submit, flush;
-                // idle sweeping rides the poll tick, so no janitor.
-                let reactor_shared = Arc::clone(&shared);
-                let reactor_completions = Arc::clone(&completions);
-                let handle = std::thread::Builder::new()
-                    .name("cfgserve-reactor".into())
-                    .spawn(move || {
-                        reactor::run_reactor(listener, poller, reactor_completions, reactor_shared)
-                    })
-                    .expect("spawn reactor");
-                (handle, None, Some(completions))
-            }
-        };
+        let accept_shared = Arc::clone(&shared);
+        let accept_handle = std::thread::Builder::new()
+            .name("cfgserve-accept".into())
+            .spawn(move || accept_loop(listener, accept_shared))
+            .expect("spawn acceptor");
+        let janitor_shared = Arc::clone(&shared);
+        let janitor_handle = std::thread::Builder::new()
+            .name("cfgserve-janitor".into())
+            .spawn(move || janitor_loop(janitor_shared))
+            .expect("spawn janitor");
 
         let sampler_handle = saturation.as_ref().map(|s| s.series.start_sampler());
         let profiler_handle = match (&saturation, &config.saturation) {
@@ -724,12 +567,11 @@ impl IngestServer {
             addr,
             shared,
             accept_handle: Some(accept_handle),
-            janitor_handle,
+            janitor_handle: Some(janitor_handle),
             saturation,
             sampler_handle,
             profiler_handle,
             audit_handles,
-            wake,
         })
     }
 
@@ -740,10 +582,7 @@ impl IngestServer {
 
     /// Live session count right now.
     pub fn sessions(&self) -> usize {
-        match self.shared.io_model {
-            IoModel::Threads => self.shared.table.len(),
-            IoModel::Reactor => self.shared.reactor_sessions.load(Ordering::SeqCst) as usize,
-        }
+        self.shared.table.len()
     }
 
     /// The span recorder, when tracing is configured — the source
@@ -801,14 +640,8 @@ impl IngestServer {
             h.stop();
         }
         self.shared.stop.store(true, Ordering::SeqCst);
-        // Unblock the serving thread: nudge the reactor's wake pipe, or
-        // hand the blocking acceptor one throwaway connection.
-        match &self.wake {
-            Some(completions) => completions.wake(),
-            None => {
-                let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-            }
-        }
+        // Unblock the acceptor with one throwaway connection.
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
@@ -840,7 +673,6 @@ impl std::fmt::Debug for IngestServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IngestServer")
             .field("addr", &self.addr)
-            .field("io_model", &self.shared.io_model)
             .field("sessions", &self.sessions())
             .finish_non_exhaustive()
     }
@@ -899,9 +731,9 @@ enum Poll {
 /// An incremental frame parser that survives read timeouts mid-frame —
 /// a slow-loris client dribbling one byte per second must cost the
 /// server only buffered bytes, never a blocked thread or lost partial
-/// frame. Decoding itself is delegated to the shared
-/// [`frame::FrameReader`] (the same one the reactor drives zero-copy);
-/// this wrapper adds the blocking-read pump and the span-lead clock.
+/// frame. Decoding itself is delegated to the zero-copy
+/// [`frame::FrameReader`]; this wrapper adds the blocking-read pump and
+/// the span-lead clock.
 #[derive(Default)]
 struct FrameReader {
     inner: frame::FrameReader,
@@ -1152,7 +984,7 @@ fn audit_frame(
     payload: &[u8],
 ) {
     bank.frame_audited(payload.len() as u64);
-    let Ok(fast) = replay_events(tagger, kind, payload) else {
+    let Ok(fast) = tag_frame(tagger, kind, payload) else {
         // The production engine kind failed where the fast path (by
         // construction, same kind, same payload) also failed — the
         // client already saw the Err frame; nothing to cross-check.
@@ -1186,8 +1018,8 @@ fn audit_frame(
 }
 
 /// Run `payload` through a fresh engine of the production kind — the
-/// exact sequence the shard handler uses.
-fn replay_events(
+/// shard handler's tagging step, which the audit lane replays.
+fn tag_frame(
     tagger: &TokenTagger,
     kind: EngineKind,
     payload: &[u8],
@@ -1251,6 +1083,22 @@ mod tests {
         assert_eq!(seq, 7);
         assert_eq!(payload, b"payload");
         assert!(split_msg(&msg[..11]).is_none());
+    }
+
+    #[test]
+    fn answer_frame_turns_an_oversized_ack_into_err() {
+        let event = TagEvent { token: cfg_grammar::TokenId(0), start: 0, end: 2 };
+        // The largest Ack that fits: the 4-byte seq plus whole events.
+        let fits = (frame::MAX_FRAME - 4) / frame::EVENT_LEN;
+        let (kind, payload) = answer_frame(7, Ok(vec![event; fits]));
+        assert_eq!(kind, FrameKind::Ack);
+        assert_eq!(payload.len(), 4 + fits * frame::EVENT_LEN);
+        let (kind, payload) = answer_frame(7, Ok(vec![event; fits + 1]));
+        assert_eq!(kind, FrameKind::Err);
+        assert_eq!(payload, b"seq 7: reply too large");
+        let (kind, payload) = answer_frame(3, Err(Error::Protocol("bad".into())));
+        assert_eq!(kind, FrameKind::Err);
+        assert!(payload.starts_with(b"seq 3: "));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use cfg_obs::json::Json;
 use cfg_obs::SharedRegistry;
 use cfg_obs_http::{http_get, Exporter, ServiceState};
 use cfg_server::frame::encode_events;
-use cfg_server::{Client, FaultPlan, IngestServer, IoModel, Reply, ServerConfig, TraceConfig};
+use cfg_server::{Client, FaultPlan, IngestServer, Reply, ServerConfig, TraceConfig};
 use cfg_tagger::{TaggerOptions, TokenTagger};
 use std::sync::Arc;
 use std::time::Duration;
@@ -246,14 +246,14 @@ fn server_survives_chaos_without_losing_acked_events() {
     assert!(report.shard.restarts >= restarts, "report lost restarts vs /metrics");
 }
 
-/// Run the seeded hostile fleet plus one clean retrying client against
-/// a fresh server under `io`, verify every ack byte-identical to the
-/// unfaulted local run, and return the clean client's acked event
-/// streams (wire encoding, in send order).
-fn run_fleet(io: IoModel) -> Vec<Vec<u8>> {
+#[test]
+fn chaos_acked_streams_match_offline_tagging() {
+    // The seeded hostile fleet plus one clean retrying client: every
+    // ack any client receives must be byte-identical to the unfaulted
+    // local `tag_fast` run, and the clean client gets every message
+    // acked.
     let tagger = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
     let config = ServerConfig {
-        io_model: io,
         shards: 2,
         queue_depth: 2,
         max_sessions: 32,
@@ -314,34 +314,21 @@ fn run_fleet(io: IoModel) -> Vec<Vec<u8>> {
             assert_eq!(
                 encode_events(events),
                 expect(payload),
-                "[{io:?}] acked events diverged from the unfaulted run (seq {seq})"
+                "acked events diverged from the unfaulted run (seq {seq})"
             );
         }
     }
 
     let clean_acked = clean.join().unwrap();
-    assert_eq!(
-        clean_acked.len(),
-        messages.len(),
-        "[{io:?}] clean client must get every message acked"
-    );
+    assert_eq!(clean_acked.len(), messages.len(), "clean client must get every message acked");
+    for (i, (payload, events)) in clean_acked.iter().enumerate() {
+        assert_eq!(
+            encode_events(events),
+            expect(payload),
+            "clean client's ack {i} diverged from the unfaulted run"
+        );
+    }
     server.shutdown();
-    clean_acked.into_iter().map(|(_, events)| encode_events(&events)).collect()
-}
-
-#[test]
-fn chaos_acked_stream_identical_under_reactor() {
-    // The same seeded hostile fleet, served twice: once by the threaded
-    // io-model, once by the epoll reactor. Both runs verify every ack
-    // against the offline `tag_fast` ground truth inside `run_fleet`,
-    // and the clean client's acked event streams must come back
-    // byte-for-byte identical — the io-model is invisible in the data.
-    let threaded = run_fleet(IoModel::Threads);
-    let reactor = run_fleet(IoModel::Reactor);
-    assert_eq!(
-        threaded, reactor,
-        "reactor acked stream diverged from the threaded run under the same seed"
-    );
 }
 
 #[test]
